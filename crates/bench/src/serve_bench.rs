@@ -46,6 +46,14 @@
 //!   file size before and after `compact_now` (byte rows, not timings)
 //!   — evidence that compaction bounds the log by snapshot size, not
 //!   total history;
+//! - `journal_recover_1e5_ms`: one recovery (`DurableRegistry::recover`)
+//!   of a journal holding 10⁵ unit charges to zipf(s = 1) principals over
+//!   10⁴, with the default checkpoint cadence (one full-registry
+//!   checkpoint every 1024 charges, ~14.5 MB of log) over `MemStorage`
+//!   — the restart cost of a busy accountant, without the disk;
+//! - `journal_crc_mb_per_s`: throughput of the frame checksum
+//!   ([`crc32`]) over that same log, in MB/s — the part of recovery
+//!   that is linear in log bytes whatever the checkpoints;
 //! - `host_parallelism`: `std::thread::available_parallelism()` at
 //!   measurement time. **Read the scaling rows against this.** Thread
 //!   scaling is bounded by the cores the host actually grants: on a
@@ -64,8 +72,8 @@
 
 use sampcert_arith::Nat;
 use sampcert_core::{
-    Budget, BudgetRegistry, DurableRegistry, Dyadic, FileStorage, GatherWindow, Ledger, MemStorage,
-    PureDp, ShardedLedger,
+    crc32, Budget, BudgetRegistry, DurableRegistry, Dyadic, FileStorage, GatherWindow, Ledger,
+    MemStorage, PureDp, ShardedLedger,
 };
 use sampcert_mechanisms::{NoiseServer, SeedBackend, ServeConfig};
 use sampcert_samplers::{discrete_gaussian_many_into, LaplaceAlg};
@@ -465,6 +473,79 @@ fn journal_compaction_rows(quick: bool) -> Vec<(&'static str, f64)> {
     ]
 }
 
+/// Principals the recovery journal's charges are drawn from.
+const RECOVER_PRINCIPALS: u64 = 10_000;
+/// Charges in the recovery journal.
+const RECOVER_CHARGES: usize = 100_000;
+
+/// `count` zipf(s = 1) draws over `0..n`, by inverse CDF on a
+/// deterministic xorshift stream.
+fn zipf_principals(n: u64, count: usize) -> Vec<u64> {
+    let mut cdf = Vec::with_capacity(n as usize);
+    let mut total = 0.0;
+    for k in 1..=n {
+        total += 1.0 / k as f64;
+        cdf.push(total);
+    }
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    (0..count)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
+            cdf.partition_point(|&c| c <= u).min(n as usize - 1) as u64
+        })
+        .collect()
+}
+
+/// Recovery of a 10⁵-charge zipf journal with default checkpoints over
+/// `MemStorage` (median ms of `reps`), and the frame checksum's
+/// throughput over the same bytes (median MB/s).
+fn journal_recovery_rows(reps: usize) -> Vec<(&'static str, f64)> {
+    let storage = MemStorage::new();
+    let registry: DurableRegistry<PureDp, f64, MemStorage> =
+        DurableRegistry::create(1e12, 16, storage.clone()).expect("create journal");
+    for principal in zipf_principals(RECOVER_PRINCIPALS, RECOVER_CHARGES) {
+        registry.charge(principal, 1.0).expect("budget is ample");
+    }
+    drop(registry);
+    let median = |mut runs: Vec<f64>| {
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    };
+    let recover_ms = median(
+        (0..reps.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                let (back, _) =
+                    DurableRegistry::<PureDp, f64, _>::recover(1e12, 16, storage.reopen())
+                        .expect("intact journal recovers");
+                let ms = start.elapsed().as_secs_f64() * 1e3;
+                assert!(
+                    back.spent_exact(0) >= 1.0,
+                    "the hottest principal was charged"
+                );
+                ms
+            })
+            .collect(),
+    );
+    let log = storage.contents();
+    let crc_mb_per_s = median(
+        (0..reps.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(crc32(std::hint::black_box(&log)));
+                log.len() as f64 / 1e6 / start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    );
+    vec![
+        ("journal_recover_1e5_ms", recover_ms),
+        ("journal_crc_mb_per_s", crc_mb_per_s),
+    ]
+}
+
 /// Runs the whole serving measurement set, returning `(name, ns_per_op)`
 /// rows (plus the `host_parallelism` and `degenerate_scaling` context
 /// rows). `quick` shrinks the per-call sample count for CI smoke runs.
@@ -562,6 +643,7 @@ pub fn measure_all(quick: bool) -> Vec<(&'static str, f64)> {
     .into_iter()
     .chain(registry_1m_rows(quick, n * 8, reps))
     .chain(journal_compaction_rows(quick))
+    .chain(journal_recovery_rows(reps))
     .collect()
 }
 
@@ -572,7 +654,7 @@ mod tests {
     #[test]
     fn rows_measure_and_are_positive() {
         let rows = measure_all(true);
-        assert_eq!(rows.len(), 26);
+        assert_eq!(rows.len(), 28);
         for (name, v) in &rows {
             // Two rows may legitimately read zero: the degenerate-scaling
             // flag on a multi-core host, and the RSS delta when the

@@ -19,10 +19,16 @@
 //! and the polling worker re-queues the task instead of dropping the
 //! wake — the standard protocol for never losing a wakeup without
 //! holding a lock across `poll`.
+//!
+//! A task that panics is contained at its poll boundary: the panic is
+//! caught, the task completes with it, and [`JoinHandle::join`] (or
+//! awaiting the handle) re-raises it in the joiner. The worker thread
+//! survives and keeps serving the other tasks.
 
 use std::collections::VecDeque;
 use std::future::Future;
-use std::pin::Pin;
+use std::panic::AssertUnwindSafe;
+use std::pin::{pin, Pin};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
@@ -225,12 +231,12 @@ impl<T> std::fmt::Debug for JoinState<T> {
 enum JoinSlot<T> {
     /// Not finished; holds the waker of an awaiting task, if any.
     Pending(Option<Waker>),
-    /// Finished; the output waits to be taken.
-    Ready(Option<T>),
+    /// Finished; the output (or the task's panic) waits to be taken.
+    Ready(Option<std::thread::Result<T>>),
 }
 
 impl<T> JoinState<T> {
-    fn complete(&self, value: T) {
+    fn complete(&self, value: std::thread::Result<T>) {
         let mut slot = self.slot.lock().expect("join slot poisoned");
         let waker = match std::mem::replace(&mut *slot, JoinSlot::Ready(Some(value))) {
             JoinSlot::Pending(waker) => waker,
@@ -244,26 +250,36 @@ impl<T> JoinState<T> {
     }
 }
 
+/// The task's output, or its panic resumed in the caller (with the
+/// slot's lock already released, so the unwind poisons nothing).
+fn unwrap_output<T>(value: Option<std::thread::Result<T>>) -> T {
+    match value.expect("join handle output already taken") {
+        Ok(output) => output,
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
+}
+
 impl<T> JoinHandle<T> {
     /// Blocks the calling thread until the task finishes, returning its
     /// output.
     ///
     /// # Panics
     ///
-    /// Panics if the output was already taken (the handle was polled to
-    /// completion and then joined).
+    /// Re-raises the task's panic if the task panicked. Panics if the
+    /// output was already taken (the handle was polled to completion and
+    /// then joined).
     pub fn join(self) -> T {
         let mut slot = self.state.slot.lock().expect("join slot poisoned");
-        loop {
+        let value = loop {
             match &mut *slot {
-                JoinSlot::Ready(value) => {
-                    return value.take().expect("join handle output already taken")
-                }
+                JoinSlot::Ready(value) => break value.take(),
                 JoinSlot::Pending(_) => {
                     slot = self.state.done.wait(slot).expect("join slot poisoned");
                 }
             }
-        }
+        };
+        drop(slot);
+        unwrap_output(value)
     }
 
     /// Whether the task has finished (non-blocking).
@@ -282,7 +298,9 @@ impl<T> Future for JoinHandle<T> {
         let mut slot = self.state.slot.lock().expect("join slot poisoned");
         match &mut *slot {
             JoinSlot::Ready(value) => {
-                Poll::Ready(value.take().expect("join handle output already taken"))
+                let value = value.take();
+                drop(slot);
+                Poll::Ready(unwrap_output(value))
             }
             JoinSlot::Pending(waker) => {
                 *waker = Some(cx.waker().clone());
@@ -359,7 +377,18 @@ impl Runtime {
         });
         let completion = Arc::clone(&state);
         let wrapped = async move {
-            let value = future.await;
+            // The poll boundary: a panic inside the task's own poll is
+            // caught here and completes the join slot, so the worker
+            // keeps serving and the joiner sees the panic.
+            let mut future = pin!(future);
+            let value = std::future::poll_fn(|cx| {
+                match std::panic::catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(cx))) {
+                    Ok(Poll::Ready(value)) => Poll::Ready(Ok(value)),
+                    Ok(Poll::Pending) => Poll::Pending,
+                    Err(panic) => Poll::Ready(Err(panic)),
+                }
+            })
+            .await;
             completion.complete(value);
         };
         let task = Arc::new(Task {
@@ -498,5 +527,33 @@ mod tests {
         let inner = rt.spawn(async { 21u64 });
         let outer = rt.spawn(async move { inner.await * 2 });
         assert_eq!(outer.join(), 42);
+    }
+
+    #[test]
+    fn a_panicking_task_is_contained_and_the_worker_keeps_serving() {
+        let rt = Runtime::new(1);
+        let doomed = rt.spawn(async {
+            panic!("task failure");
+        });
+        let healthy = rt.spawn(async { 7u32 });
+        // The single worker must survive the panic to serve this task.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(healthy.join()));
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)),
+            Ok(7),
+            "the worker died with the panicking task"
+        );
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(|| doomed.join()))
+            .expect_err("join must re-raise the task's panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"task failure"));
+        // Awaiting the handle re-raises too, inside the awaiting task —
+        // which is itself contained.
+        let inner = rt.spawn(async { panic!("inner failure") });
+        let outer = rt.spawn(inner);
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(|| outer.join()))
+            .expect_err("the awaiting task sees the panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"inner failure"));
+        assert_eq!(rt.spawn(async { 1u8 }).join(), 1);
     }
 }
